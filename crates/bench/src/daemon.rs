@@ -25,8 +25,8 @@
 
 use crate::chaos;
 use shmd_workload::dataset::Dataset;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
+use stochastic_hmd::checkpoint::unique_scratch;
 use stochastic_hmd::{
     decode_frame, encode_frame, AdmissionConfig, AdmissionStats, BaselineHmd, Daemon, ExecConfig,
     Frame, MonitoringService, RejectCode, ServeConfig, StateJournal, HANDOFF_FRAME_CAP,
@@ -38,16 +38,6 @@ pub const DAEMON_SHARDS: usize = 4;
 /// Batches the old instance keeps queued when the drain begins — the
 /// in-flight work a zero-downtime upgrade must finish, not drop.
 pub const DRAIN_QUEUE_AHEAD: usize = 3;
-
-static JOURNAL_COUNTER: AtomicU64 = AtomicU64::new(0);
-
-fn scratch_journal_path() -> std::path::PathBuf {
-    std::env::temp_dir().join(format!(
-        "shmd-daemon-bench-{}-{}.journal",
-        std::process::id(),
-        JOURNAL_COUNTER.fetch_add(1, Ordering::Relaxed)
-    ))
-}
 
 fn serve_config(seed: u64, batch_size: usize, exec: ExecConfig) -> ServeConfig {
     ServeConfig::new(DAEMON_SHARDS)
@@ -70,7 +60,7 @@ fn deploy_daemon(
         serve_config(seed, batch_size, exec),
     )
     .expect("the reference device calibrates at er = 0.2");
-    let path = scratch_journal_path();
+    let path = unique_scratch("daemon-bench");
     let journal = StateJournal::create(&path).expect("journal creates");
     let daemon = Daemon::new(service, journal, config).expect("initial checkpoint appends");
     (daemon, path)
@@ -235,7 +225,7 @@ pub fn upgraded_run(
         matches!(reply(&handoff), Frame::HandoffState { .. }),
         "drained daemon must hand off"
     );
-    let new_path = scratch_journal_path();
+    let new_path = unique_scratch("daemon-bench");
     let journal = StateJournal::create(&new_path).expect("journal creates");
     let mut new = Daemon::resume_from_handoff(
         &handoff,

@@ -24,8 +24,7 @@
 
 use crate::chaos::{self, CHAOS_HORIZON, CHAOS_TAIL};
 use shmd_workload::dataset::Dataset;
-use std::sync::atomic::{AtomicU64, Ordering};
-use stochastic_hmd::checkpoint::StateJournal;
+use stochastic_hmd::checkpoint::{unique_scratch, StateJournal};
 use stochastic_hmd::exec::ExecConfig;
 use stochastic_hmd::serve::{MonitoringService, ServeConfig, Verdict};
 use stochastic_hmd::telemetry::TelemetrySnapshot;
@@ -87,16 +86,6 @@ pub struct DurabilityPoint {
     pub threaded_identical: bool,
 }
 
-static JOURNAL_COUNTER: AtomicU64 = AtomicU64::new(0);
-
-fn scratch_journal_path() -> std::path::PathBuf {
-    std::env::temp_dir().join(format!(
-        "shmd-crash-restore-{}-{}.journal",
-        std::process::id(),
-        JOURNAL_COUNTER.fetch_add(1, Ordering::Relaxed)
-    ))
-}
-
 fn serve_config(shards: usize, seed: u64, batch_size: usize, exec: ExecConfig) -> ServeConfig {
     ServeConfig::new(shards)
         .with_seed(seed)
@@ -154,7 +143,7 @@ fn victim_run(
 ) -> std::path::PathBuf {
     let batch_size = features.first().map_or(1, Vec::len);
     let mut service = deploy(baseline, shards, seed, batch_size, ExecConfig::serial());
-    let path = scratch_journal_path();
+    let path = unique_scratch("crash-restore");
     let mut journal = StateJournal::create(&path).expect("journal creates");
     for (b, batch) in features.iter().enumerate().take(kill_batch as usize + 1) {
         if (b as u64).is_multiple_of(cadence.max(1)) {

@@ -37,11 +37,14 @@
 //! caller. After a kill -9 — including one that tears a record mid-append —
 //! [`StateJournal::recover`] scans the valid prefix, discards the torn
 //! tail (never panicking), and returns the newest checkpoint plus the
-//! commits after it. Because the commit is written before the results are
+//! commits after it. Because the commit is durable before the results are
 //! visible, replaying the input stream from the checkpoint's position
-//! re-executes *at most one* batch whose verdicts a caller could not have
+//! re-executes only batches whose verdicts a caller could not have
 //! observed, and determinism makes that replay produce the exact bytes the
-//! dead process would have produced.
+//! dead process would have produced. A caller that commits one batch at a
+//! time loses at most that batch; the daemon group-commits every batch of
+//! one `Daemon::pump` call with a single sync, so it loses at most that
+//! call's batches, none of whose verdicts had left the process.
 //!
 //! See `DESIGN.md` §11 for the recovery protocol and the
 //! `crash_restore` example / `crash_restore_bench` binary for the
@@ -62,6 +65,7 @@ use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// First bytes of every encoded [`ServiceCheckpoint`].
 pub const CHECKPOINT_MAGIC: [u8; 4] = *b"SHCK";
@@ -729,6 +733,19 @@ impl JournalRecovery {
     }
 }
 
+/// A fresh scratch journal path in [`std::env::temp_dir`], unique per
+/// process *and* per call: the pid plus a process-wide counter. Tests,
+/// benches and fuzz harnesses that run in parallel inside one process
+/// therefore never share (or delete) each other's file.
+pub fn unique_scratch(tag: &str) -> PathBuf {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    std::env::temp_dir().join(format!(
+        "shmd-{tag}-{}-{}.journal",
+        std::process::id(),
+        NEXT.fetch_add(1, Ordering::Relaxed)
+    ))
+}
+
 /// An append-only write-ahead log of [`ServiceCheckpoint`]s and
 /// [`BatchCommit`]s.
 ///
@@ -738,9 +755,24 @@ impl JournalRecovery {
 /// kind, checksum, or payload does not validate — a kill -9 mid-append
 /// tears at most the final record, and the torn tail is discarded, never
 /// misread and never a panic.
+///
+/// # Group commit
+///
+/// Inside the crate, records can be *staged* into an in-memory group and
+/// made durable together by one `write_all` + one `sync_data`. The daemon
+/// stages every commit and cadence checkpoint of one `Daemon::pump` call
+/// and syncs once before it returns any verdict. Staged records that were
+/// never synced are lost with the process, which is safe because nothing
+/// they cover was exposed. The public `append_*` methods stage one record
+/// and sync it before returning.
 pub struct StateJournal {
     file: File,
     path: PathBuf,
+    /// Framed records staged since the last sync, oldest first.
+    group: Vec<u8>,
+    /// `sync_data` calls issued, so tests can count them.
+    #[cfg(test)]
+    syncs: u64,
 }
 
 impl StateJournal {
@@ -756,7 +788,7 @@ impl StateJournal {
             .write(true)
             .truncate(true)
             .open(&path)?;
-        Ok(StateJournal { file, path })
+        Ok(StateJournal::over(file, path))
     }
 
     /// Opens an existing journal for appending (after a recovery, to
@@ -768,7 +800,17 @@ impl StateJournal {
     pub fn open_append(path: impl AsRef<Path>) -> io::Result<StateJournal> {
         let path = path.as_ref().to_path_buf();
         let file = OpenOptions::new().create(true).append(true).open(&path)?;
-        Ok(StateJournal { file, path })
+        Ok(StateJournal::over(file, path))
+    }
+
+    fn over(file: File, path: PathBuf) -> StateJournal {
+        StateJournal {
+            file,
+            path,
+            group: Vec::new(),
+            #[cfg(test)]
+            syncs: 0,
+        }
     }
 
     /// The journal's file path.
@@ -782,7 +824,8 @@ impl StateJournal {
     ///
     /// Any [`io::Error`] from the write or sync.
     pub fn append_checkpoint(&mut self, checkpoint: &ServiceCheckpoint) -> io::Result<()> {
-        self.append_record(RECORD_CHECKPOINT, &checkpoint.encode())
+        self.stage_checkpoint(checkpoint);
+        self.sync()
     }
 
     /// Appends a batch-commit record and syncs it to disk. Called after
@@ -792,21 +835,60 @@ impl StateJournal {
     ///
     /// Any [`io::Error`] from the write or sync.
     pub fn append_commit(&mut self, commit: BatchCommit) -> io::Result<()> {
+        self.stage_commit(commit);
+        self.sync()
+    }
+
+    /// Stages a checkpoint record in the group; nothing is written until
+    /// [`StateJournal::sync`].
+    pub(crate) fn stage_checkpoint(&mut self, checkpoint: &ServiceCheckpoint) {
+        self.stage_record(RECORD_CHECKPOINT, &checkpoint.encode());
+    }
+
+    /// Stages a batch-commit record in the group; nothing is written
+    /// until [`StateJournal::sync`].
+    pub(crate) fn stage_commit(&mut self, commit: BatchCommit) {
         let mut payload = Vec::with_capacity(BATCH_COMMIT_LEN);
         payload.extend_from_slice(&commit.batch.to_le_bytes());
         payload.extend_from_slice(&commit.stream_pos.to_le_bytes());
         payload.extend_from_slice(&commit.checksum.to_le_bytes());
-        self.append_record(RECORD_BATCH_COMMIT, &payload)
+        self.stage_record(RECORD_BATCH_COMMIT, &payload);
     }
 
-    fn append_record(&mut self, kind: u8, payload: &[u8]) -> io::Result<()> {
-        let mut frame = Vec::with_capacity(RECORD_OVERHEAD + payload.len());
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.push(kind);
-        frame.extend_from_slice(payload);
-        frame.extend_from_slice(&fnv1a_tagged(kind, payload).to_le_bytes());
-        self.file.write_all(&frame)?;
+    fn stage_record(&mut self, kind: u8, payload: &[u8]) {
+        self.group
+            .extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        self.group.push(kind);
+        self.group.extend_from_slice(payload);
+        self.group
+            .extend_from_slice(&fnv1a_tagged(kind, payload).to_le_bytes());
+    }
+
+    /// Makes the staged group durable: one `write_all` of every staged
+    /// record, then one `sync_data`. An empty group issues neither.
+    ///
+    /// # Errors
+    ///
+    /// Any [`io::Error`] from the write or sync. The group is discarded
+    /// either way; on error none of its records may be treated as durable.
+    pub(crate) fn sync(&mut self) -> io::Result<()> {
+        if self.group.is_empty() {
+            return Ok(());
+        }
+        let written = self.file.write_all(&self.group);
+        self.group.clear();
+        written?;
+        #[cfg(test)]
+        {
+            self.syncs += 1;
+        }
         self.file.sync_data()
+    }
+
+    /// `sync_data` calls issued so far.
+    #[cfg(test)]
+    pub(crate) fn syncs(&self) -> u64 {
+        self.syncs
     }
 
     /// Scans a journal file and salvages its valid prefix.
@@ -1064,11 +1146,7 @@ mod tests {
 
     #[test]
     fn journal_recovers_checkpoint_and_commits_and_discards_torn_tail() {
-        let path = std::env::temp_dir().join(format!(
-            "shmd-journal-test-{}-{}",
-            std::process::id(),
-            line!()
-        ));
+        let path = unique_scratch("journal-test");
         let checkpoint = sample_checkpoint();
         {
             let mut journal = StateJournal::create(&path).expect("create");
@@ -1143,5 +1221,58 @@ mod tests {
         assert_eq!(empty.checkpoint, None);
         assert!(empty.commits.is_empty());
         assert_eq!(empty.torn_bytes, 0);
+    }
+
+    #[test]
+    fn staged_records_are_lost_with_the_journal_until_synced() {
+        let path = unique_scratch("journal-group-test");
+        let checkpoint = sample_checkpoint();
+        let commit = |batch: u64| BatchCommit {
+            batch,
+            stream_pos: (batch + 1) * 16,
+            checksum: batch * 31,
+        };
+        let mut journal = StateJournal::create(&path).expect("create");
+        journal.append_checkpoint(&checkpoint).expect("checkpoint");
+        journal.append_commit(commit(40)).expect("commit");
+        let synced = std::fs::read(&path).expect("read");
+
+        // Staging writes nothing; a journal dropped before its sync (a
+        // kill mid-group) leaves exactly the previously synced records.
+        for batch in 41..45 {
+            journal.stage_commit(commit(batch));
+        }
+        journal.stage_checkpoint(&checkpoint);
+        assert_eq!(std::fs::read(&path).expect("read"), synced);
+        drop(journal);
+        let salvaged = StateJournal::recover(&path).expect("recover");
+        assert_eq!(salvaged.checkpoint.as_ref(), Some(&checkpoint));
+        assert_eq!(salvaged.commits, vec![commit(40)]);
+        assert_eq!(salvaged.torn_bytes, 0);
+
+        // One sync writes the whole group, byte-identical to appending
+        // each record on its own.
+        let grouped = unique_scratch("journal-group-test");
+        let mut journal = StateJournal::create(&grouped).expect("create");
+        journal.stage_checkpoint(&checkpoint);
+        for batch in 40..43 {
+            journal.stage_commit(commit(batch));
+        }
+        journal.sync().expect("sync");
+        assert_eq!(journal.syncs(), 1);
+        journal.sync().expect("empty sync");
+        assert_eq!(journal.syncs(), 1, "an empty group does not sync");
+        let mut journal = StateJournal::create(&path).expect("create");
+        journal.append_checkpoint(&checkpoint).expect("checkpoint");
+        for batch in 40..43 {
+            journal.append_commit(commit(batch)).expect("commit");
+        }
+        assert_eq!(journal.syncs(), 4);
+        assert_eq!(
+            std::fs::read(&grouped).expect("read"),
+            std::fs::read(&path).expect("read")
+        );
+        std::fs::remove_file(&path).expect("cleanup");
+        std::fs::remove_file(&grouped).expect("cleanup");
     }
 }

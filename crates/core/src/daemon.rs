@@ -254,8 +254,9 @@ pub struct Daemon {
 }
 
 impl Daemon {
-    /// Puts `service` behind the daemon, journaling an initial checkpoint
-    /// so a crash before the first cadence point still recovers.
+    /// Puts `service` behind the daemon, journaling (and syncing) an
+    /// initial checkpoint so a crash before the first cadence point still
+    /// recovers.
     pub fn new(
         service: MonitoringService,
         mut journal: StateJournal,
@@ -451,10 +452,22 @@ impl Daemon {
     }
 
     /// Pumps up to `max_batches` queued submissions through the service,
-    /// returning one encoded [`Frame::Verdicts`] per batch. Each batch is
-    /// journaled before its verdicts are returned, a checkpoint is
-    /// appended at the configured cadence, and the hang deadline is
-    /// enforced from batch indices.
+    /// returning one encoded [`Frame::Verdicts`] per batch. The hang
+    /// deadline is enforced from batch indices after every batch.
+    ///
+    /// Durability is a group commit over this one call: each drained
+    /// batch's commit, and a checkpoint at the configured cadence, are
+    /// staged in the journal in order, and the call ends with one write
+    /// and one `fdatasync` of the whole group *before* it returns any
+    /// verdict. A crash therefore loses at most the batches of one `pump`
+    /// call, and none of their verdicts had left the daemon; replay
+    /// reproduces them bit-identically. `pump(1)` syncs after every
+    /// batch; a pump that drains nothing writes nothing.
+    ///
+    /// # Errors
+    ///
+    /// Any [`io::Error`] from the group's write or sync. No verdict of
+    /// the call is returned then, although the service has advanced.
     pub fn pump(&mut self, max_batches: usize) -> io::Result<Vec<Vec<u8>>> {
         let mut replies = Vec::new();
         for _ in 0..max_batches {
@@ -471,20 +484,21 @@ impl Daemon {
             }
             let verdicts = self
                 .service
-                .process_feature_batch_journaled(&batch.features, &mut self.journal)?;
+                .process_feature_batch_staged(&batch.features, &mut self.journal);
             self.enforce_hang_deadline();
             if self
                 .service
                 .batches()
                 .is_multiple_of(self.config.checkpoint_cadence.max(1))
             {
-                self.journal.append_checkpoint(&self.service.checkpoint())?;
+                self.journal.stage_checkpoint(&self.service.checkpoint());
             }
             replies.push(encode_frame(&Frame::Verdicts {
                 tenant: batch.tenant,
                 verdicts,
             }));
         }
+        self.journal.sync()?;
         if self.phase == DaemonPhase::Draining && self.queue.is_empty() {
             self.phase = DaemonPhase::Drained;
         }
@@ -633,22 +647,12 @@ impl Daemon {
 #[allow(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
 mod tests {
     use super::*;
+    use crate::checkpoint::{unique_scratch, BatchCommit};
     use crate::serve::ServeConfig;
     use crate::train::{train_baseline, HmdTrainConfig};
     use shmd_volt::calibration::{Calibrator, DeviceProfile};
     use shmd_workload::dataset::{Dataset, DatasetConfig};
     use shmd_workload::features::FeatureSpec;
-    use std::path::PathBuf;
-    use std::sync::atomic::{AtomicU64, Ordering};
-
-    fn scratch_journal() -> PathBuf {
-        static COUNTER: AtomicU64 = AtomicU64::new(0);
-        let n = COUNTER.fetch_add(1, Ordering::Relaxed);
-        std::env::temp_dir().join(format!(
-            "shmd-daemon-test-{}-{n}.journal",
-            std::process::id()
-        ))
-    }
 
     fn setup() -> (Dataset, BaselineHmd, MonitoringService) {
         let dataset = Dataset::generate(&DatasetConfig::small(80), 31);
@@ -683,7 +687,7 @@ mod tests {
         let config = AdmissionConfig::default()
             .with_max_queued_queries(10)
             .with_tenant_quota(8);
-        let journal = StateJournal::create(scratch_journal()).expect("journal");
+        let journal = StateJournal::create(unique_scratch("daemon-test")).expect("journal");
         let mut daemon = Daemon::new(service, journal, config).expect("daemon");
 
         // Tenant 1 admits twice (8 queries), then hits its quota.
@@ -771,7 +775,7 @@ mod tests {
     fn drain_handoff_resume_preserves_the_verdict_stream() {
         let (dataset, baseline, service) = setup();
         let batch = feature_batch(&dataset, &baseline, 6);
-        let journal_a = StateJournal::create(scratch_journal()).expect("journal");
+        let journal_a = StateJournal::create(unique_scratch("daemon-test")).expect("journal");
         let mut old = Daemon::new(service, journal_a, AdmissionConfig::default()).expect("daemon");
 
         // Reference: the same stream on a never-upgraded service.
@@ -813,7 +817,7 @@ mod tests {
         assert!(matches!(frame, Frame::HandoffState { .. }));
         assert_eq!(old.phase(), DaemonPhase::HandedOff);
 
-        let journal_b = StateJournal::create(scratch_journal()).expect("journal");
+        let journal_b = StateJournal::create(unique_scratch("daemon-test")).expect("journal");
         let mut new = Daemon::resume_from_handoff(
             &handoff,
             &baseline,
@@ -839,7 +843,7 @@ mod tests {
     fn hostile_handoff_bytes_never_produce_a_serving_daemon() {
         let (_, baseline, _) = setup();
         let resume = |bytes: &[u8]| {
-            let journal = StateJournal::create(scratch_journal()).expect("journal");
+            let journal = StateJournal::create(unique_scratch("daemon-test")).expect("journal");
             let path = journal.path().to_path_buf();
             let out = Daemon::resume_from_handoff(
                 bytes,
@@ -870,5 +874,88 @@ mod tests {
             resume(&bad_checkpoint),
             Err(HandoffError::Checkpoint(_))
         ));
+    }
+
+    #[test]
+    fn group_commit_syncs_once_per_pump_and_once_per_durable_call() {
+        let (dataset, baseline, service) = setup();
+        let batch = feature_batch(&dataset, &baseline, 4);
+        let config = AdmissionConfig::default().with_checkpoint_cadence(3);
+        let journal = StateJournal::create(unique_scratch("daemon-test")).expect("journal");
+        let path = journal.path().to_path_buf();
+        let on_disk = || std::fs::metadata(&path).expect("journal exists").len();
+
+        // Daemon::new syncs its initial checkpoint before returning.
+        let mut daemon = Daemon::new(service, journal, config).expect("daemon");
+        assert_eq!(daemon.journal.syncs(), 1);
+        assert!(on_disk() > 0);
+
+        // A pump that drains nothing writes and syncs nothing.
+        assert!(daemon.pump_all().expect("pumps").is_empty());
+        assert_eq!(daemon.journal.syncs(), 1);
+
+        // Seven batches across two checkpoint cadence points: one sync,
+        // and every commit is on disk when the verdicts come back.
+        for _ in 0..7 {
+            daemon.try_submit(0, batch.clone()).expect("admitted");
+        }
+        let before = on_disk();
+        assert_eq!(daemon.pump_all().expect("pumps").len(), 7);
+        assert_eq!(daemon.journal.syncs(), 2);
+        assert!(on_disk() > before);
+        let recovered = StateJournal::recover(&path).expect("recovers");
+        assert_eq!(recovered.last_committed_batch(), Some(6));
+        assert_eq!(recovered.checkpoint.map(|c| c.batches), Some(6));
+
+        // pump(1) syncs after its one batch.
+        for _ in 0..2 {
+            daemon.try_submit(0, batch.clone()).expect("admitted");
+        }
+        assert_eq!(daemon.pump(1).expect("pumps").len(), 1);
+        assert_eq!(daemon.journal.syncs(), 3);
+        let recovered = StateJournal::recover(&path).expect("recovers");
+        assert_eq!(recovered.last_committed_batch(), Some(7));
+        assert_eq!(daemon.pump(1).expect("pumps").len(), 1);
+        assert_eq!(daemon.journal.syncs(), 4);
+
+        // Frame::Checkpoint syncs its checkpoint before replying.
+        let before = on_disk();
+        let reply = daemon
+            .handle_frame(&encode_frame(&Frame::Checkpoint))
+            .expect("handled");
+        let (frame, _) = decode_frame(&reply, HANDOFF_FRAME_CAP).expect("reply");
+        assert!(matches!(frame, Frame::CheckpointBytes { .. }));
+        assert_eq!(daemon.journal.syncs(), 5);
+        assert!(on_disk() > before);
+
+        // process_feature_batch_journaled and the public appends each sync.
+        daemon
+            .service
+            .process_feature_batch_journaled(&batch, &mut daemon.journal)
+            .expect("commits");
+        assert_eq!(daemon.journal.syncs(), 6);
+        let recovered = StateJournal::recover(&path).expect("recovers");
+        assert_eq!(recovered.last_committed_batch(), Some(9));
+        daemon
+            .journal
+            .append_commit(BatchCommit {
+                batch: 10,
+                stream_pos: 44,
+                checksum: 7,
+            })
+            .expect("appends");
+        assert_eq!(daemon.journal.syncs(), 7);
+        daemon
+            .journal
+            .append_checkpoint(&daemon.service.checkpoint())
+            .expect("appends");
+        assert_eq!(daemon.journal.syncs(), 8);
+
+        // The hand-off syncs its final checkpoint before returning.
+        let before = on_disk();
+        daemon.handoff().expect("hands off");
+        assert_eq!(daemon.journal.syncs(), 9);
+        assert!(on_disk() > before);
+        let _ = std::fs::remove_file(&path);
     }
 }

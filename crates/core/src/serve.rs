@@ -2296,11 +2296,13 @@ impl MonitoringService {
     /// checksum) is appended to `journal` and synced to disk **before**
     /// the verdicts are returned to the caller.
     ///
-    /// A process killed at any instant therefore loses at most one batch
-    /// whose verdicts nobody observed: recovery restores the newest
-    /// checkpoint from the journal and replays the input stream from its
-    /// position, and determinism reproduces the uncommitted batch's
-    /// verdicts bit-identically.
+    /// One call is one commit and one sync, so a process killed at any
+    /// instant loses at most the one batch whose verdicts nobody observed:
+    /// recovery restores the newest checkpoint from the journal and
+    /// replays the input stream from its position, and determinism
+    /// reproduces the uncommitted batch's verdicts bit-identically. (The
+    /// daemon batches these commits into one sync per pump instead; see
+    /// [`crate::Daemon::pump`].)
     ///
     /// # Errors
     ///
@@ -2313,13 +2315,25 @@ impl MonitoringService {
         features: &[Vec<f32>],
         journal: &mut StateJournal,
     ) -> io::Result<Vec<Verdict>> {
+        let verdicts = self.process_feature_batch_staged(features, journal);
+        journal.sync()?;
+        Ok(verdicts)
+    }
+
+    /// Runs one batch and stages its [`BatchCommit`] in `journal`'s group
+    /// without syncing: the caller must sync before exposing the verdicts.
+    pub(crate) fn process_feature_batch_staged(
+        &mut self,
+        features: &[Vec<f32>],
+        journal: &mut StateJournal,
+    ) -> Vec<Verdict> {
         let verdicts = self.run_batch(features);
-        journal.append_commit(BatchCommit {
+        journal.stage_commit(BatchCommit {
             batch: self.batches - 1,
             stream_pos: self.served,
             checksum: self.verdict_checksum,
-        })?;
-        Ok(verdicts)
+        });
+        verdicts
     }
 
     /// Snapshots the service-wide telemetry.

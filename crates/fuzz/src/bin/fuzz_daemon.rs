@@ -8,6 +8,7 @@ use proptest::collection::vec as vec_of;
 use proptest::Strategy;
 use rand::Rng;
 use shmd_fuzz::{corpus, mutate, FuzzArgs, Tally};
+use stochastic_hmd::checkpoint::unique_scratch;
 use stochastic_hmd::{
     encode_frame, AdmissionConfig, Daemon, Frame, MonitoringService, StateJournal,
 };
@@ -16,8 +17,7 @@ fn main() {
     let args = FuzzArgs::parse("fuzz_daemon");
     let mut rng = args.rng();
     let corpus = corpus();
-    let journal_path =
-        std::env::temp_dir().join(format!("shmd-fuzz-daemon-{}.journal", std::process::id()));
+    let journal_path = unique_scratch("fuzz-daemon");
     let service = MonitoringService::restore(
         &corpus.baseline,
         None,

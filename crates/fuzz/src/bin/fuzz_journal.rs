@@ -9,6 +9,7 @@
 use rand::Rng;
 use shmd_fuzz::{corpus, mutate, FuzzArgs, Tally};
 use shmd_volt::calibration::{Calibrator, DeviceProfile};
+use stochastic_hmd::checkpoint::unique_scratch;
 use stochastic_hmd::{BatchCommit, ExecConfig, MonitoringService, ServeConfig, StateJournal};
 
 /// Batches journaled before the checkpoint record.
@@ -79,11 +80,9 @@ fn main() {
     let args = FuzzArgs::parse("fuzz_journal");
     let mut rng = args.rng();
     let corpus = corpus();
-    let dir = std::env::temp_dir();
-    let tag = std::process::id();
-    let journal_path = dir.join(format!("shmd-fuzz-journal-{tag}-a.wal"));
-    let other_path = dir.join(format!("shmd-fuzz-journal-{tag}-b.wal"));
-    let mutant_path = dir.join(format!("shmd-fuzz-journal-{tag}-mutant.wal"));
+    let journal_path = unique_scratch("fuzz-journal-a");
+    let other_path = unique_scratch("fuzz-journal-b");
+    let mutant_path = unique_scratch("fuzz-journal-mutant");
 
     let (bytes, commits) = build_journal(&corpus, &journal_path, 21);
     // A second, differently-seeded journal supplies the foreign bytes for

@@ -2,7 +2,9 @@
 //! killed at *any* tested batch index — including mid-journal-append, via
 //! a torn file tail — restores from its write-ahead state journal and
 //! resumes bit-identically to an uninterrupted reference run, serially and
-//! on an 8-thread pool. Checkpoint bytes round-trip through the binary
+//! on an 8-thread pool. A daemon killed anywhere inside one group commit
+//! (one `pump` call's records) recovers the same way. Checkpoint bytes
+//! round-trip through the binary
 //! codec; foreign, version-bumped, truncated, and bit-flipped bytes are
 //! rejected with typed errors and never panic, under fuzzed inputs too.
 
@@ -11,14 +13,14 @@ use shmd_volt::environment::EnvironmentConfig;
 use shmd_workload::dataset::{Dataset, DatasetConfig};
 use shmd_workload::features::FeatureSpec;
 use stochastic_hmd::checkpoint::{
-    BatchCommit, CheckpointError, RestoreError, ServiceCheckpoint, StateJournal,
+    unique_scratch, BatchCommit, CheckpointError, RestoreError, ServiceCheckpoint, StateJournal,
 };
 use stochastic_hmd::exec::ExecConfig;
 use stochastic_hmd::serve::{MonitoringService, ServeConfig, Verdict};
 use stochastic_hmd::supervisor::{ChaosPlan, SupervisorConfig};
 use stochastic_hmd::telemetry::{TelemetryParseError, TelemetrySnapshot};
 use stochastic_hmd::train::{train_baseline, HmdTrainConfig};
-use stochastic_hmd::BaselineHmd;
+use stochastic_hmd::{AdmissionConfig, BaselineHmd, Daemon};
 
 const SHARDS: usize = 4;
 const BATCHES: usize = 16;
@@ -67,13 +69,6 @@ fn feature_stream(baseline: &BaselineHmd, dataset: &Dataset) -> Vec<Vec<Vec<f32>
                 .collect()
         })
         .collect()
-}
-
-fn scratch_path(tag: &str) -> std::path::PathBuf {
-    std::env::temp_dir().join(format!(
-        "shmd-crash-restore-test-{}-{tag}.journal",
-        std::process::id()
-    ))
 }
 
 /// Journaled run up to and including `kill_batch`, then the simulated
@@ -151,7 +146,7 @@ fn kill_at_any_tested_batch_restores_bit_identically_serial_and_threaded() {
     let kills = [0usize, 3, 4, 9, BATCHES - 1];
     for (i, &kill) in kills.iter().enumerate() {
         let tear = if i % 2 == 1 { 7 } else { 0 };
-        let path = scratch_path(&format!("kill{kill}"));
+        let path = unique_scratch(&format!("kill{kill}"));
         victim_run(&baseline, &features, kill, tear, &path);
         for exec in [ExecConfig::serial(), ExecConfig::threads(8)] {
             let (verdicts, snapshot, resume) =
@@ -170,12 +165,108 @@ fn kill_at_any_tested_batch_restores_bit_identically_serial_and_threaded() {
     }
 }
 
+/// Offsets of every record boundary in a journal file, walking its
+/// `[u32 len][u8 kind][payload][u64 checksum]` frames from the front.
+fn record_boundaries(bytes: &[u8]) -> Vec<usize> {
+    let mut boundaries = vec![0];
+    let mut pos = 0;
+    while pos < bytes.len() {
+        let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().expect("4 bytes"));
+        pos += 4 + 1 + len as usize + 8;
+        boundaries.push(pos);
+    }
+    assert_eq!(pos, bytes.len(), "an intact journal ends on a boundary");
+    boundaries
+}
+
+#[test]
+fn kill_inside_a_group_commit_restores_bit_identically() {
+    let (dataset, baseline) = setup();
+    let features = feature_stream(&baseline, &dataset);
+    let mut reference = deploy(&baseline, ExecConfig::serial());
+    let reference_verdicts: Vec<Vec<Verdict>> = features
+        .iter()
+        .map(|batch| reference.process_feature_batch(batch))
+        .collect();
+    let reference_snapshot = reference.snapshot().without_timing();
+
+    // Two batches pumped one by one, then ten batches across three
+    // checkpoint cadence points drained by one `pump_all`: one group of
+    // ten commits and three checkpoints behind a single sync.
+    let path = unique_scratch("group");
+    let journal = StateJournal::create(&path).expect("creates");
+    let config = AdmissionConfig::default().with_checkpoint_cadence(CADENCE);
+    let mut daemon =
+        Daemon::new(deploy(&baseline, ExecConfig::serial()), journal, config).expect("deploys");
+    let journal_len = || std::fs::metadata(&path).expect("exists").len() as usize;
+    for batch in &features[..2] {
+        daemon.try_submit(0, batch.clone()).expect("admits");
+        daemon.pump_all().expect("pumps");
+    }
+    let group_start = journal_len();
+    for batch in &features[2..12] {
+        daemon.try_submit(0, batch.clone()).expect("admits");
+    }
+    assert_eq!(daemon.pump_all().expect("pumps").len(), 10);
+    let group_end = journal_len();
+    for batch in &features[12..] {
+        daemon.try_submit(0, batch.clone()).expect("admits");
+    }
+    daemon.pump_all().expect("pumps");
+    assert_eq!(daemon.verdict_checksum(), reference.verdict_checksum());
+    drop(daemon);
+
+    let full = std::fs::read(&path).expect("reads");
+    let boundaries: Vec<usize> = record_boundaries(&full)
+        .into_iter()
+        .filter(|b| (group_start..=group_end).contains(b))
+        .collect();
+    assert_eq!(boundaries.len(), 14, "10 commits + 3 checkpoints");
+    // Every record boundary, plus cuts inside each record's header, its
+    // payload and its trailing checksum.
+    let mut cuts = boundaries.clone();
+    for pair in boundaries.windows(2) {
+        cuts.extend([pair[0] + 2, pair[0] + 7, pair[1] - 1]);
+    }
+    cuts.sort_unstable();
+
+    let copy = unique_scratch("group-cut");
+    let mut last_seen = 0;
+    for &cut in &cuts {
+        std::fs::write(&copy, &full[..cut]).expect("cuts");
+        let recovery = StateJournal::recover(&copy).expect("recovers");
+        assert_eq!(
+            recovery.torn_bytes == 0,
+            boundaries.contains(&cut),
+            "cut {cut}"
+        );
+        let recovered =
+            recovery.checkpoint.map_or(0, |c| c.batches) + recovery.commits.len() as u64;
+        assert!(recovered >= last_seen, "cut {cut}: recovery went backwards");
+        last_seen = recovered;
+        let (verdicts, snapshot, resume) =
+            restore_and_replay(&baseline, &features, &copy, ExecConfig::serial());
+        assert_eq!(
+            verdicts,
+            reference_verdicts[resume as usize..],
+            "cut {cut}: replayed verdicts diverged"
+        );
+        assert_eq!(
+            snapshot, reference_snapshot,
+            "cut {cut}: resumed state diverged"
+        );
+    }
+    assert_eq!(last_seen, 12, "the whole group is durable after its sync");
+    std::fs::remove_file(&copy).expect("cleanup");
+    std::fs::remove_file(&path).expect("cleanup");
+}
+
 #[test]
 fn torn_tail_discards_exactly_the_uncommitted_batch() {
     let (dataset, baseline) = setup();
     let features = feature_stream(&baseline, &dataset);
     let kill = CADENCE as usize + 2;
-    let path = scratch_path("torn");
+    let path = unique_scratch("torn");
     victim_run(&baseline, &features, kill, 0, &path);
     let intact = StateJournal::recover(&path).expect("recovers");
     assert_eq!(intact.commits.last().map(|c| c.batch), Some(kill as u64));
@@ -243,7 +334,7 @@ fn checkpoint_codec_round_trips_and_rejects_corruption() {
 
 #[test]
 fn journal_append_then_recover_round_trips_commits() {
-    let path = scratch_path("commits");
+    let path = unique_scratch("commits");
     let mut journal = StateJournal::create(&path).expect("creates");
     let commits: Vec<BatchCommit> = (0..5u64)
         .map(|batch| BatchCommit {

@@ -9,6 +9,7 @@ use shmd_volt::calibration::DeviceProfile;
 use shmd_volt::environment::EnvironmentConfig;
 use shmd_workload::dataset::{Dataset, DatasetConfig};
 use shmd_workload::features::FeatureSpec;
+use stochastic_hmd::checkpoint::unique_scratch;
 use stochastic_hmd::exec::ExecConfig;
 use stochastic_hmd::serve::{MonitoringService, QueryDisposition, RejectReason, ServeConfig};
 use stochastic_hmd::supervisor::{ChaosEvent, ChaosPlan, ShardHealth, SupervisorConfig};
@@ -52,16 +53,9 @@ fn deploy(baseline: &BaselineHmd, chaos: ChaosPlan, exec: ExecConfig) -> Monitor
     MonitoringService::supervised(baseline, supervision(chaos), config).expect("deploys")
 }
 
-fn scratch_path(tag: &str) -> std::path::PathBuf {
-    std::env::temp_dir().join(format!(
-        "shmd-daemon-wire-test-{}-{tag}.journal",
-        std::process::id()
-    ))
-}
-
 fn daemon(baseline: &BaselineHmd, config: AdmissionConfig, tag: &str) -> Daemon {
     let service = deploy(baseline, ChaosPlan::none(), ExecConfig::serial());
-    let journal = StateJournal::create(scratch_path(tag)).expect("creates");
+    let journal = StateJournal::create(unique_scratch(tag)).expect("creates");
     Daemon::new(service, journal, config).expect("deploys")
 }
 
@@ -334,7 +328,7 @@ fn hang_deadline_degrades_the_wedged_shard_at_any_thread_count() {
                 .with_retry_policy(3, 64);
             MonitoringService::supervised(&baseline, sup, config).expect("deploys")
         };
-        let journal = StateJournal::create(scratch_path("hang")).expect("creates");
+        let journal = StateJournal::create(unique_scratch("hang")).expect("creates");
         let config = AdmissionConfig::default().with_hang_deadline(2);
         let mut daemon = Daemon::new(service, journal, config).expect("deploys");
 

@@ -11,6 +11,7 @@ use shmd_volt::calibration::DeviceProfile;
 use shmd_volt::environment::EnvironmentConfig;
 use shmd_workload::dataset::{Dataset, DatasetConfig};
 use shmd_workload::features::FeatureSpec;
+use stochastic_hmd::checkpoint::unique_scratch;
 use stochastic_hmd::exec::ExecConfig;
 use stochastic_hmd::serve::{MonitoringService, ServeConfig};
 use stochastic_hmd::supervisor::{ChaosPlan, SupervisorConfig};
@@ -80,13 +81,6 @@ fn feature_stream(baseline: &BaselineHmd, dataset: &Dataset) -> Vec<Vec<Vec<f32>
         .collect()
 }
 
-fn scratch_path(tag: &str) -> std::path::PathBuf {
-    std::env::temp_dir().join(format!(
-        "shmd-rolling-upgrade-test-{}-{tag}.journal",
-        std::process::id()
-    ))
-}
-
 fn admission() -> AdmissionConfig {
     AdmissionConfig::default().with_checkpoint_cadence(CADENCE)
 }
@@ -94,7 +88,7 @@ fn admission() -> AdmissionConfig {
 /// The never-upgraded reference: the same stream through a plain daemon,
 /// no drain, no hand-off.
 fn reference_run(baseline: &BaselineHmd, features: &[Vec<Vec<f32>>]) -> (u64, u64) {
-    let path = scratch_path("reference");
+    let path = unique_scratch("reference");
     let journal = StateJournal::create(&path).expect("creates");
     let mut daemon =
         Daemon::new(deploy(baseline, ExecConfig::serial()), journal, admission()).expect("deploys");
@@ -197,7 +191,7 @@ fn kill_at_every_upgrade_phase_boundary_recovers_to_the_reference() {
         KillPoint::PostCheckpointPreHandoff,
         KillPoint::PostHandoffPreAck,
     ] {
-        let path = scratch_path(&format!("{kill:?}"));
+        let path = unique_scratch(&format!("{kill:?}"));
         let handoff = victim_run(&baseline, &features, kill, &path);
         for exec in [ExecConfig::serial(), ExecConfig::threads(8)] {
             let threads = exec.thread_count();
@@ -212,7 +206,7 @@ fn kill_at_every_upgrade_phase_boundary_recovers_to_the_reference() {
         if let Some(handoff) = handoff {
             for exec in [ExecConfig::serial(), ExecConfig::threads(8)] {
                 let threads = exec.thread_count();
-                let successor_path = scratch_path(&format!("{kill:?}-successor-{threads}"));
+                let successor_path = unique_scratch(&format!("{kill:?}-successor-{threads}"));
                 let journal = StateJournal::create(&successor_path).expect("creates");
                 let mut successor = Daemon::resume_from_handoff(
                     &handoff,
@@ -246,8 +240,8 @@ fn clean_upgrade_loses_zero_committed_queries() {
     let features = feature_stream(&baseline, &dataset);
     let reference = reference_run(&baseline, &features);
 
-    let old_path = scratch_path("clean-old");
-    let new_path = scratch_path("clean-new");
+    let old_path = unique_scratch("clean-old");
+    let new_path = unique_scratch("clean-new");
     let journal = StateJournal::create(&old_path).expect("creates");
     let mut old = Daemon::new(
         deploy(&baseline, ExecConfig::serial()),
